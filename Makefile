@@ -24,17 +24,15 @@ RACE_PKGS = ./internal/netsim ./internal/experiments ./internal/sessions \
 all: check
 
 # Tier-1 verify: the whole module must build, every test pass, vet (and
-# the context-plumbing lint) stay clean, the transfer engine's fault
-# matrix, the telemetry registry, and the hybrid control plane run under
-# the race detector, and every fuzz corpus gets a short randomized shake.
+# the context-plumbing lint) stay clean, every RACE_PKGS package — the
+# parallel exhibit pipeline as well as the live engine — run under the
+# race detector, and every fuzz corpus gets a short randomized shake.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) vet-ctx
 	$(GO) test ./...
-	$(GO) test -race -count=1 ./internal/gridftp/... ./internal/faultnet/... \
-		./internal/telemetry ./internal/vc/... ./internal/xferman \
-		./internal/connpool ./internal/pacing ./internal/fleet .
+	$(GO) test -race -count=1 $(RACE_PKGS)
 	$(MAKE) fuzz-smoke
 
 # Fuzz smoke: run each data-plane fuzz target briefly on top of its

@@ -12,6 +12,8 @@ import (
 // every exhibit (the SLAC–BNL log has 1,021,999 records), so generated
 // datasets and their groupings are memoized per seed through bounded LRU
 // caches (see memo.go) — seed sweeps cannot grow memory without limit.
+// A memoized grouping holds one copy of its dataset's records, which all
+// of its sessions' Transfers share as windows; exhibits only read them.
 
 type datasetKey struct {
 	name string

@@ -8,15 +8,21 @@
 package sessions
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"gftpvc/internal/usagestats"
 )
 
 // Session is one batch of transfers between a server and one remote host.
+//
+// A Session built by Group does not own its Transfers: it is a
+// capacity-clipped window of one array that the grouping's other sessions
+// share, so appending to it copies, but writing through it changes the
+// shared array. Callers must treat Transfers as read-only.
 type Session struct {
 	ServerHost string
 	RemoteHost string
@@ -78,6 +84,12 @@ var ErrNoRemote = errors.New("sessions: records lack remote host (anonymized log
 // session opens when a transfer starts more than g after the maximum end
 // time seen so far in the current session. g = 0 demands strictly
 // back-to-back (or overlapping) transfers; negative g is an error.
+//
+// Group copies each record once, into a single array laid out by endpoint
+// pair in (server, remote) order, input order within a pair; a pair's run
+// is then stable-sorted by start if it is not already. Every session's
+// Transfers is a capacity-clipped window of that array. The caller's slice
+// is neither modified nor aliased.
 func Group(records []usagestats.Record, g time.Duration) ([]*Session, error) {
 	if g < 0 {
 		return nil, errors.New("sessions: negative gap")
@@ -85,51 +97,82 @@ func Group(records []usagestats.Record, g time.Duration) ([]*Session, error) {
 	type hostPair struct {
 		server, remote string
 	}
-	byPair := make(map[hostPair][]usagestats.Record)
-	for i, r := range records {
+	// Counting pass: each record's pair, and the number of records per pair.
+	pairOf := make(map[hostPair]int)
+	var keys []hostPair
+	var counts []int
+	pairIdx := make([]int, len(records))
+	for i := range records {
+		r := &records[i]
 		if r.RemoteHost == "" {
 			return nil, fmt.Errorf("%w (record %d)", ErrNoRemote, i)
 		}
-		byPair[hostPair{r.ServerHost, r.RemoteHost}] = append(byPair[hostPair{r.ServerHost, r.RemoteHost}], r)
-	}
-	keys := make([]hostPair, 0, len(byPair))
-	for k := range byPair {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].server != keys[j].server {
-			return keys[i].server < keys[j].server
+		k := hostPair{r.ServerHost, r.RemoteHost}
+		p, ok := pairOf[k]
+		if !ok {
+			p = len(keys)
+			pairOf[k] = p
+			keys = append(keys, k)
+			counts = append(counts, 0)
 		}
-		return keys[i].remote < keys[j].remote
+		pairIdx[i] = p
+		counts[p]++
+	}
+	order := make([]int, len(keys))
+	for p := range order {
+		order[p] = p
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(keys[a].server, keys[b].server), cmp.Compare(keys[a].remote, keys[b].remote))
 	})
-	out := make([]*Session, 0, len(byPair))
-	for _, k := range keys {
-		rs := byPair[k]
-		usagestats.SortByStart(rs)
-		var cur *Session
+	// next[p] is where pair p's next record lands; runs[p] is its run.
+	next := make([]int, len(keys))
+	runs := make([][]usagestats.Record, len(keys))
+	all := make([]usagestats.Record, len(records))
+	off := 0
+	for _, p := range order {
+		next[p] = off
+		runs[p] = all[off : off+counts[p] : off+counts[p]]
+		off += counts[p]
+	}
+	for i, p := range pairIdx {
+		all[next[p]] = records[i]
+		next[p]++
+	}
+
+	var out []*Session
+	for _, p := range order {
+		run := runs[p]
+		usagestats.SortByStart(run)
+		a := 0
 		var horizon time.Time // latest end time within the current session
-		for _, r := range rs {
-			if cur != nil && !r.Start.After(horizon.Add(g)) {
-				cur.Transfers = append(cur.Transfers, r)
-			} else {
-				cur = &Session{
-					ServerHost: r.ServerHost,
-					RemoteHost: r.RemoteHost,
-				}
-				cur.Transfers = []usagestats.Record{r}
+		for b := range run {
+			if b > a && run[b].Start.After(horizon.Add(g)) {
+				out = append(out, newSession(run[a:b:b]))
+				a = b
 				horizon = time.Time{}
-				out = append(out, cur)
 			}
-			if e := r.End(); e.After(horizon) {
+			if e := run[b].End(); e.After(horizon) {
 				horizon = e
 			}
 		}
+		if len(run) > 0 {
+			out = append(out, newSession(run[a:]))
+		}
 	}
 	// Order sessions chronologically across endpoint pairs.
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Start().Before(out[j].Start())
+	slices.SortStableFunc(out, func(x, y *Session) int {
+		return x.Start().Compare(y.Start())
 	})
 	return out, nil
+}
+
+func newSession(transfers []usagestats.Record) *Session {
+	return &Session{
+		ServerHost: transfers[0].ServerHost,
+		RemoteHost: transfers[0].RemoteHost,
+		Transfers:  transfers,
+	}
 }
 
 // Stats summarizes a grouped dataset the way the paper's Table III rows

@@ -2,7 +2,11 @@ package sessions
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -207,5 +211,157 @@ func TestSizesDurationsThroughputs(t *testing.T) {
 	th := TransferThroughputsMbps(records)
 	if len(th) != 1 || math.Abs(th[0]-800) > 1e-9 {
 		t.Errorf("throughputs = %v, want [800] Mbps", th)
+	}
+}
+
+// groupReference is the original Group: per-pair slices grown by append,
+// each pair stable-sorted by start, sessions built by appending. Group
+// must reproduce it session for session.
+func groupReference(records []usagestats.Record, g time.Duration) ([]*Session, error) {
+	if g < 0 {
+		return nil, errors.New("sessions: negative gap")
+	}
+	type hostPair struct {
+		server, remote string
+	}
+	byPair := make(map[hostPair][]usagestats.Record)
+	for i, r := range records {
+		if r.RemoteHost == "" {
+			return nil, fmt.Errorf("%w (record %d)", ErrNoRemote, i)
+		}
+		byPair[hostPair{r.ServerHost, r.RemoteHost}] = append(byPair[hostPair{r.ServerHost, r.RemoteHost}], r)
+	}
+	keys := make([]hostPair, 0, len(byPair))
+	for k := range byPair {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].server != keys[j].server {
+			return keys[i].server < keys[j].server
+		}
+		return keys[i].remote < keys[j].remote
+	})
+	out := make([]*Session, 0, len(byPair))
+	for _, k := range keys {
+		rs := byPair[k]
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Start.Before(rs[j].Start) })
+		var cur *Session
+		var horizon time.Time
+		for _, r := range rs {
+			if cur != nil && !r.Start.After(horizon.Add(g)) {
+				cur.Transfers = append(cur.Transfers, r)
+			} else {
+				cur = &Session{
+					ServerHost: r.ServerHost,
+					RemoteHost: r.RemoteHost,
+				}
+				cur.Transfers = []usagestats.Record{r}
+				horizon = time.Time{}
+				out = append(out, cur)
+			}
+			if e := r.End(); e.After(horizon) {
+				horizon = e
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return out[i].Start().Before(out[j].Start())
+	})
+	return out, nil
+}
+
+// randomRecords draws n records over interleaved endpoint pairs (two
+// servers, three remotes), in no particular start order, with starts on a
+// coarse grid so equal starts are common, and durations that often
+// overlap the next transfer. SizeBytes numbers the records so every
+// record is distinct.
+func randomRecords(rng *rand.Rand, n int) []usagestats.Record {
+	servers := []string{"dtn.slac.stanford.edu", "dtn.ncar.gov"}
+	remotes := []string{"dtn.bnl.gov", "nics", "ornl"}
+	out := make([]usagestats.Record, n)
+	for i := range out {
+		r := rec(remotes[rng.Intn(len(remotes))], float64(rng.Intn(2*n)), float64(rng.Intn(8))/2, int64(i+1))
+		r.ServerHost = servers[rng.Intn(len(servers))]
+		out[i] = r
+	}
+	return out
+}
+
+func TestGroupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 40; trial++ {
+		records := randomRecords(rng, 1+rng.Intn(300))
+		orig := slices.Clone(records)
+		for _, g := range []time.Duration{0, time.Second, time.Minute} {
+			got, err := Group(records, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := groupReference(orig, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(records, orig) {
+				t.Fatalf("trial %d g=%v: Group modified its input", trial, g)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d g=%v: %d sessions, reference %d", trial, g, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ServerHost != want[i].ServerHost || got[i].RemoteHost != want[i].RemoteHost ||
+					!slices.Equal(got[i].Transfers, want[i].Transfers) {
+					t.Fatalf("trial %d g=%v: session %d differs from reference:\n got %+v\nwant %+v", trial, g, i, *got[i], *want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGroupSessionsIndependent pins the backing-array contract: sessions
+// share one array, but appending to one session's Transfers cannot
+// overwrite the next session's, and the sessions do not alias the input.
+func TestGroupSessionsIndependent(t *testing.T) {
+	records := randomRecords(rand.New(rand.NewSource(5)), 200)
+	ss, err := Group(records, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss) < 2 {
+		t.Fatalf("want several sessions, got %d", len(ss))
+	}
+	snapshot := make([][]usagestats.Record, len(ss))
+	for i, s := range ss {
+		snapshot[i] = slices.Clone(s.Transfers)
+	}
+	for i := range records {
+		records[i].SizeBytes = -1
+		records[i].Start = time.Time{}
+	}
+	for i, s := range ss {
+		_ = append(s.Transfers, rec("clobber", 0, 1, -2))
+		for j := range ss {
+			if !slices.Equal(ss[j].Transfers, snapshot[j]) {
+				t.Fatalf("after mutating the input and appending to session %d, session %d changed", i, j)
+			}
+		}
+	}
+}
+
+// BenchmarkGroup groups 1<<18 records, interleaved over three endpoint
+// pairs in start order as synthesized logs are, at the paper's g = 1 min.
+func BenchmarkGroup(b *testing.B) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	remotes := []string{"dtn.bnl.gov", "nics", "ornl"}
+	records := make([]usagestats.Record, n)
+	for i := range records {
+		records[i] = rec(remotes[rng.Intn(len(remotes))], float64(20*i+rng.Intn(20)), float64(1+rng.Intn(30)), 1e9)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Group(records, time.Minute); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

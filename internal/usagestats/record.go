@@ -240,9 +240,107 @@ func ReadLog(rd io.Reader) ([]Record, error) {
 }
 
 // SortByStart orders records by start time (stable), the order session
-// grouping requires.
+// grouping requires. Starts compare as wall-clock instants, so the same
+// instant in different locations ties; ties keep their input order.
+//
+// Records are 136 bytes, so rather than swapping them through a generic
+// sort it radix-sorts a compact (seconds, nanoseconds, index) key per
+// record, then applies the permutation in place one cycle at a time:
+// every record moves once. Already-sorted input is left untouched.
 func SortByStart(records []Record) {
-	sort.SliceStable(records, func(i, j int) bool {
-		return records[i].Start.Before(records[j].Start)
-	})
+	if startsSorted(records) {
+		return
+	}
+	keys := make([]startKey, len(records))
+	for i := range records {
+		keys[i] = keyOf(records[i].Start, i)
+	}
+	keys = radixSort(keys)
+	// Position k receives the record at keys[k].idx. Follow each cycle of
+	// that permutation, marking visited positions with idx = k.
+	for k := range keys {
+		if keys[k].idx == k {
+			continue
+		}
+		tmp := records[k]
+		j := k
+		for {
+			src := keys[j].idx
+			keys[j].idx = j
+			if src == k {
+				records[j] = tmp
+				break
+			}
+			records[j] = records[src]
+			j = src
+		}
+	}
+}
+
+// startKey is a record's start instant plus its input index. sec is the
+// Unix second with the sign bit flipped, so unsigned order is time order.
+type startKey struct {
+	sec  uint64
+	nsec uint32
+	idx  int
+}
+
+func keyOf(t time.Time, idx int) startKey {
+	return startKey{sec: uint64(t.Unix()) ^ 1<<63, nsec: uint32(t.Nanosecond()), idx: idx}
+}
+
+// digit returns byte d of the key's instant, least significant first:
+// bytes 0-3 of nsec, then bytes 0-7 of sec.
+func (k startKey) digit(d int) byte {
+	if d < 4 {
+		return byte(k.nsec >> (8 * d))
+	}
+	return byte(k.sec >> (8 * (d - 4)))
+}
+
+// radixSort orders keys by instant with a least-significant-digit radix
+// sort over bytes. Each pass is stable, so equal instants stay in index
+// order, and a byte that every key shares costs no pass. It returns the
+// sorted keys, which are in keys or in a scratch slice of the same length.
+func radixSort(keys []startKey) []startKey {
+	var counts [12][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][k.digit(d)]++
+		}
+	}
+	var buf []startKey
+	for d := range counts {
+		c := &counts[d]
+		if c[keys[0].digit(d)] == len(keys) {
+			continue
+		}
+		if buf == nil {
+			buf = make([]startKey, len(keys))
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for _, k := range keys {
+			b := k.digit(d)
+			buf[c[b]] = k
+			c[b]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
+}
+
+// startsSorted reports whether records are already in start order, by the
+// same instant comparison the sort uses.
+func startsSorted(records []Record) bool {
+	for i := 1; i < len(records); i++ {
+		a, b := keyOf(records[i-1].Start, i-1), keyOf(records[i].Start, i)
+		if b.sec < a.sec || b.sec == a.sec && b.nsec < a.nsec {
+			return false
+		}
+	}
+	return true
 }

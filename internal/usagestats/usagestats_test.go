@@ -1,7 +1,10 @@
 package usagestats
 
 import (
+	"math/rand"
 	"net"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -206,6 +209,57 @@ func TestSortByStart(t *testing.T) {
 	SortByStart(rs)
 	if !rs[0].Start.Before(rs[1].Start) {
 		t.Error("not sorted by start")
+	}
+
+	// Stability against sort.SliceStable: starts drawn from a few seconds
+	// (some before 1970, some the zero time) so most records tie, and the
+	// same instant shown in different locations must tie too.
+	rng := rand.New(rand.NewSource(3))
+	locs := []*time.Location{time.UTC, time.FixedZone("EST", -5*3600), time.FixedZone("IST", 5*3600+1800)}
+	bases := []time.Time{sampleRecord().Start, time.Date(1960, 1, 1, 0, 0, 0, 0, time.UTC), {}}
+	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
+		rs := make([]Record, n)
+		for i := range rs {
+			r := sampleRecord()
+			base := bases[rng.Intn(len(bases))]
+			r.Start = base.Add(time.Duration(rng.Intn(5))*time.Second + time.Duration(rng.Intn(2))).In(locs[rng.Intn(len(locs))])
+			r.SizeBytes = int64(i + 1)
+			rs[i] = r
+		}
+		want := slices.Clone(rs)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Start.Before(want[j].Start) })
+		SortByStart(rs)
+		if !slices.Equal(rs, want) {
+			t.Fatalf("n=%d: order differs from sort.SliceStable", n)
+		}
+		// Sorted input is returned as is, without building sort keys.
+		if allocs := testing.AllocsPerRun(5, func() { SortByStart(rs) }); allocs != 0 {
+			t.Errorf("n=%d: sorting sorted input allocated %v times", n, allocs)
+		}
+		if !slices.Equal(rs, want) {
+			t.Fatalf("n=%d: sorted input was reordered", n)
+		}
+	}
+}
+
+// BenchmarkSortByStart sorts 1<<18 records whose starts are spread at
+// random over a year, restoring the unsorted order outside the timer.
+func BenchmarkSortByStart(b *testing.B) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewSource(1))
+	src := make([]Record, n)
+	for i := range src {
+		src[i] = sampleRecord()
+		src[i].Start = src[i].Start.Add(time.Duration(rng.Int63n(int64(365 * 24 * time.Hour))))
+	}
+	rs := make([]Record, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(rs, src)
+		b.StartTimer()
+		SortByStart(rs)
 	}
 }
 
